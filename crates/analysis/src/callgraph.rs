@@ -69,7 +69,10 @@ impl CallGraph {
                     }
                     other => {
                         let text = expr_str(other);
-                        let t = pointsto.indirect_call_targets(&func.name, &text);
+                        let t = pointsto
+                            .indirect_targets_for(&func.name, &text)
+                            .cloned()
+                            .unwrap_or_default();
                         (t, EdgeKind::Indirect)
                     }
                 };

@@ -312,18 +312,41 @@ impl ChainLink {
 }
 
 /// The interned solution a worklist solve produces: final sets per location
-/// id plus the interner that gives the ids meaning. The `Loc`-keyed view is
-/// materialized lazily (see [`PointsToResult::pts`]); incremental re-solves
-/// that never get asked for the full map never pay for building it.
+/// id plus the interner that gives the ids meaning. Point queries
+/// ([`PointsToResult::points_to`]) are answered from it directly and never
+/// build the `Loc`-keyed map; only whole-map consumers of
+/// [`PointsToResult::pts`] pay for materializing it.
 #[derive(Debug, Clone)]
 struct Solution {
     interner: Arc<SharedInterner>,
-    /// Non-empty points-to sets, `(location id, sorted pointee ids)`.
+    /// Non-empty points-to sets, `(location id, sorted pointee ids)`,
+    /// sorted by location id.
     sets: Arc<Vec<(u32, Vec<u32>)>>,
 }
 
 impl Solution {
+    /// The points-to set of one location: an interner lookup, a binary
+    /// search over `sets`, and one resolve per pointee.
+    fn points_to(&self, loc: &Loc) -> BTreeSet<Loc> {
+        let interner = self.interner.lock();
+        let Some(id) = interner.lookup(loc) else {
+            return BTreeSet::new();
+        };
+        match self.sets.binary_search_by_key(&id, |(l, _)| *l) {
+            Ok(i) => self.sets[i]
+                .1
+                .iter()
+                .map(|&p| interner.resolve(p).clone())
+                .collect(),
+            Err(_) => BTreeSet::new(),
+        }
+    }
+
+    /// The whole `Loc`-keyed map. Counted in
+    /// `ivy_pointsto_materialize_total`, so a stray full-map build on a
+    /// query path shows up in the daemon's `metrics`.
     fn materialize(&self) -> BTreeMap<Loc, BTreeSet<Loc>> {
+        ivy_telemetry::counter("ivy_pointsto_materialize_total", 1);
         let interner = self.interner.lock();
         self.sets
             .iter()
@@ -445,6 +468,9 @@ impl PointsToResult {
 
     /// Points-to sets for every abstract location with a non-empty set,
     /// materialized from the interned solution on first use and cached.
+    /// This builds the whole program's map: use it only where every set is
+    /// needed (differential tests, the oracle's subsumption check) and
+    /// [`PointsToResult::points_to`] for a single location.
     pub fn pts(&self) -> &BTreeMap<Loc, BTreeSet<Loc>> {
         self.pts_cache.get_or_init(|| {
             self.solution
@@ -454,36 +480,24 @@ impl PointsToResult {
         })
     }
 
-    /// The points-to set of a location (empty if unknown).
+    /// The points-to set of a location (empty if unknown). Served from the
+    /// interned solution without materializing [`PointsToResult::pts`];
+    /// only a naive-reference result, which has no interned solution,
+    /// reads its map.
     pub fn points_to(&self, loc: &Loc) -> BTreeSet<Loc> {
-        self.pts().get(loc).cloned().unwrap_or_default()
+        match &self.solution {
+            Some(sol) => sol.points_to(loc),
+            None => self.pts().get(loc).cloned().unwrap_or_default(),
+        }
     }
 
-    /// The functions a given location may point to.
-    pub fn functions_pointed_by(&self, loc: &Loc) -> BTreeSet<String> {
-        self.points_to(loc)
-            .into_iter()
-            .filter_map(|l| match l {
-                Loc::Func(f) => Some(f),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Borrowed view of the possible targets of an indirect call (`None`
-    /// when the site is unknown). This is the query path for call-graph
-    /// construction and checkers — no set clone per call site.
+    /// The possible targets of an indirect call, identified by the
+    /// enclosing function and the callee expression's printed form
+    /// (`None` when the site is unknown). Borrowed: no set clone per call
+    /// site.
     pub fn indirect_targets_for(&self, func: &str, callee_text: &str) -> Option<&BTreeSet<String>> {
         self.indirect_targets
             .get(&(func.to_string(), callee_text.to_string()))
-    }
-
-    /// The possible targets of an indirect call, identified by the enclosing
-    /// function and the callee expression's printed form.
-    pub fn indirect_call_targets(&self, func: &str, callee_text: &str) -> BTreeSet<String> {
-        self.indirect_targets_for(func, callee_text)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// Average size of the points-to sets of indirect-call callees (a
@@ -890,7 +904,8 @@ const BATCH_CACHE_CAP: usize = 16384;
 /// hashed, or interned for a clean function.
 ///
 /// The interner is shared with every [`PointsToResult`] produced through
-/// the cache, which is what makes their lazy `pts()` materialization work.
+/// the cache, which is what lets them answer point queries and build
+/// `pts()` lazily, long after the solve.
 #[derive(Debug, Default)]
 pub struct ConstraintCache {
     interner: Arc<SharedInterner>,
@@ -1144,7 +1159,9 @@ mod tests {
     fn resolves_function_pointers_through_struct_fields() {
         let p = parse_program(OPS_TABLE).unwrap();
         let r = analyze(&p, Sensitivity::AndersenField);
-        let targets = r.indirect_call_targets("vfs_read", "ops->read");
+        let targets = r
+            .indirect_targets_for("vfs_read", "ops->read")
+            .expect("indirect call site");
         assert!(targets.contains("ext2_read"), "targets: {targets:?}");
         assert!(
             targets.contains("pipe_read"),
@@ -1158,7 +1175,9 @@ mod tests {
     fn field_insensitive_merges_fields() {
         let p = parse_program(OPS_TABLE).unwrap();
         let r = analyze(&p, Sensitivity::Andersen);
-        let targets = r.indirect_call_targets("vfs_read", "ops->read");
+        let targets = r
+            .indirect_targets_for("vfs_read", "ops->read")
+            .expect("indirect call site");
         // Without field sensitivity read and write collapse.
         assert!(targets.contains("ext2_write"), "targets: {targets:?}");
     }
@@ -1168,9 +1187,13 @@ mod tests {
         let p = parse_program(OPS_TABLE).unwrap();
         let st = analyze(&p, Sensitivity::Steensgaard);
         let an = analyze(&p, Sensitivity::Andersen);
-        let t_st = st.indirect_call_targets("vfs_read", "ops->read");
-        let t_an = an.indirect_call_targets("vfs_read", "ops->read");
-        assert!(t_an.is_subset(&t_st) || t_an == t_st);
+        let t_st = st
+            .indirect_targets_for("vfs_read", "ops->read")
+            .expect("indirect call site");
+        let t_an = an
+            .indirect_targets_for("vfs_read", "ops->read")
+            .expect("indirect call site");
+        assert!(t_an.is_subset(t_st));
     }
 
     #[test]
@@ -1195,6 +1218,29 @@ mod tests {
                 .any(|l| matches!(l, Loc::Global(g) if g == "buffer")),
             "q should point to buffer, got {pts:?}"
         );
+    }
+
+    /// A point query reads the interned solution: it answers like the
+    /// full map but never builds it.
+    #[test]
+    fn point_query_does_not_materialize_the_map() {
+        let p = parse_program(OPS_TABLE).unwrap();
+        let r = analyze_with(
+            &p,
+            Sensitivity::AndersenField,
+            SolveOptions {
+                solver: SolverChoice::Worklist,
+                ..SolveOptions::default()
+            },
+        );
+        let ops = Loc::Local {
+            func: "vfs_read".into(),
+            var: "ops".into(),
+        };
+        let set = r.points_to(&ops);
+        assert!(!set.is_empty());
+        assert!(r.pts_cache.get().is_none(), "point query built the map");
+        assert_eq!(Some(&set), r.pts().get(&ops));
     }
 
     #[test]
@@ -1260,7 +1306,9 @@ mod tests {
                 "{}: array-field decay must reach the callee: {pts:?}",
                 s.name()
             );
-            let targets = r.indirect_call_targets("fire", "d0.tbl[i]");
+            let targets = r
+                .indirect_targets_for("fire", "d0.tbl[i]")
+                .expect("indirect call site");
             assert!(
                 targets.contains("handler"),
                 "{}: fnptr stored through an array field must resolve: {targets:?}",
@@ -1292,11 +1340,10 @@ mod tests {
                 .any(|l| matches!(l, Loc::Global(g) if g == "data")),
             "indirect call must bind args: {pts:?}"
         );
-        let targets = r.indirect_call_targets("fire", "hook");
-        assert_eq!(
-            targets.into_iter().collect::<Vec<_>>(),
-            vec!["store".to_string()]
-        );
+        let targets = r
+            .indirect_targets_for("fire", "hook")
+            .expect("indirect call site");
+        assert_eq!(targets, &BTreeSet::from(["store".to_string()]));
     }
 
     #[test]
@@ -1580,7 +1627,9 @@ mod tests {
         );
         assert_eq!(repaired.pts(), scratch.pts());
         assert_eq!(repaired.indirect_targets, scratch.indirect_targets);
-        let targets = repaired.indirect_call_targets("vfs_read", "ops->read");
+        let targets = repaired
+            .indirect_targets_for("vfs_read", "ops->read")
+            .expect("indirect call site");
         assert!(!targets.contains("pipe_read"), "stale target must die");
     }
 
@@ -1642,7 +1691,9 @@ mod tests {
             Sensitivity::AndersenField,
             SolveOptions::default().with_provenance(true),
         );
-        let targets = r.indirect_call_targets("vfs_read", "ops->read");
+        let targets = r
+            .indirect_targets_for("vfs_read", "ops->read")
+            .expect("indirect call site");
         assert!(targets.contains("ext2_read"));
         let chain = r
             .why_indirect(&p, "vfs_read", "ops->read", "ext2_read")

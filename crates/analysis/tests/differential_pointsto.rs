@@ -16,7 +16,8 @@
 
 use ivy_analysis::pointsto::{
     analyze, analyze_incremental, analyze_incremental_with, analyze_naive, analyze_with,
-    verify_derivations, ConstraintCache, Sensitivity, SolveMode, SolveOptions, SolverChoice,
+    verify_derivations, ConstraintCache, Loc, PointsToResult, Sensitivity, SolveMode, SolveOptions,
+    SolverChoice,
 };
 use ivy_cmir::ast::Program;
 use ivy_kernelgen::{subsample_program, KernelBuild, KernelConfig};
@@ -58,6 +59,26 @@ fn shared_caches() -> &'static [ConstraintCache; 3] {
     })
 }
 
+/// The point query agrees with the reference's whole map: `points_to` on
+/// `r` equals `slow.pts()` at every location the reference knows, and a
+/// location no solve ever interned has an empty set.
+fn point_queries_match(
+    r: &PointsToResult,
+    slow: &PointsToResult,
+    what: &str,
+) -> Result<(), String> {
+    for (loc, set) in slow.pts() {
+        prop_assert_eq!(&r.points_to(loc), set, "{} point query at {}", what, loc);
+    }
+    let never = Loc::Global("$never_interned".into());
+    prop_assert!(
+        r.points_to(&never).is_empty(),
+        "{} point query on an unknown location",
+        what
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
@@ -81,6 +102,7 @@ proptest! {
         {
             let slow = analyze_naive(&program, s);
             let fast = analyze(&program, s);
+            point_queries_match(&fast, &slow, s.name())?;
             prop_assert_eq!(fast.pts(), slow.pts(), "pts diverge at {}", s.name());
             prop_assert_eq!(
                 &fast.indirect_targets, &slow.indirect_targets,
@@ -92,6 +114,7 @@ proptest! {
             // The cache-backed path must agree too (shared interner,
             // cross-program batch reuse).
             let incr = analyze_incremental(&program, s, &caches[i]);
+            point_queries_match(&incr, &slow, "cached")?;
             prop_assert_eq!(incr.pts(), slow.pts(), "cached pts diverge at {}", s.name());
             prop_assert_eq!(
                 &incr.indirect_targets, &slow.indirect_targets,
@@ -152,6 +175,7 @@ proptest! {
                     threads: 1,
                     ..SolveOptions::default()
                 });
+                point_queries_match(&uf, &slow, "union-find")?;
                 prop_assert_eq!(uf.pts(), slow.pts(), "union-find pts diverge");
                 prop_assert_eq!(
                     &uf.indirect_targets, &slow.indirect_targets,
@@ -172,6 +196,7 @@ proptest! {
             if incr.mode == SolveMode::DeltaRepair {
                 prop_assert_eq!(incr.constraint_count, slow.constraint_count);
             }
+            point_queries_match(&incr, &slow, incr.mode.name())?;
             prop_assert_eq!(incr.pts(), slow.pts(), "delta pts diverge at {}", s.name());
             prop_assert_eq!(
                 &incr.indirect_targets, &slow.indirect_targets,

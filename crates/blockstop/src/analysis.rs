@@ -497,7 +497,10 @@ fn collect_one_site(
         }
         other => {
             let text = expr_str(other);
-            let targets = pts.indirect_call_targets(&func.name, &text);
+            let targets = pts
+                .indirect_targets_for(&func.name, &text)
+                .cloned()
+                .unwrap_or_default();
             (targets, text, false)
         }
     };

@@ -17,12 +17,17 @@ use crate::report::{ConversionReport, DeputyDiagnostic, Severity};
 use ivy_cmir::ast::{Expr, Function, Program, Stmt};
 use ivy_cmir::types::{Bounds, PtrAnnot, Type};
 use ivy_cmir::visit;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Validates every annotation in the program, appending diagnostics to the
 /// report. Returns the number of annotations examined.
 pub fn validate_annotations(program: &Program, report: &mut ConversionReport) -> u64 {
     let mut examined = 0;
+    let globals: HashSet<&str> = program
+        .globals
+        .iter()
+        .map(|g| g.decl.name.as_str())
+        .collect();
 
     // Struct/union field annotations may reference sibling fields.
     for comp in &program.composites {
@@ -30,7 +35,7 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
         for field in &comp.fields {
             examined += count_annotations(&field.ty);
             for var in annotation_vars(&field.ty) {
-                if !siblings.contains(&var) && program.global(&var).is_none() {
+                if !siblings.contains(&var) && !globals.contains(var.as_str()) {
                     report.diagnostics.push(DeputyDiagnostic {
                         function: format!("{}::{}", comp.name, field.name),
                         message: format!(
@@ -58,7 +63,7 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
     for g in &program.globals {
         examined += count_annotations(&g.decl.ty);
         for var in annotation_vars(&g.decl.ty) {
-            if program.global(&var).is_none() {
+            if !globals.contains(var.as_str()) {
                 report.diagnostics.push(DeputyDiagnostic {
                     function: format!("global {}", g.decl.name),
                     message: format!("bounds annotation mentions unknown global `{var}`"),
@@ -73,13 +78,10 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
     // locals, and globals.
     for f in &program.functions {
         let mut in_scope: BTreeSet<String> = f.params.iter().map(|p| p.name.clone()).collect();
-        for g in &program.globals {
-            in_scope.insert(g.decl.name.clone());
-        }
         for p in &f.params {
             examined += count_annotations(&p.ty);
             for var in annotation_vars(&p.ty) {
-                if !in_scope.contains(&var) {
+                if !in_scope.contains(&var) && !globals.contains(var.as_str()) {
                     report.diagnostics.push(DeputyDiagnostic {
                         function: f.name.clone(),
                         message: format!(
@@ -97,7 +99,10 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
             if let Stmt::Local(decl, _) = s {
                 examined += count_annotations(&decl.ty);
                 for var in annotation_vars(&decl.ty) {
-                    if !in_scope.contains(&var) && decl.name != var {
+                    if !in_scope.contains(&var)
+                        && !globals.contains(var.as_str())
+                        && decl.name != var
+                    {
                         report.diagnostics.push(DeputyDiagnostic {
                             function: f.name.clone(),
                             message: format!(
@@ -127,27 +132,23 @@ pub fn infer_defaults(program: &mut Program, report: &mut ConversionReport) -> u
     // Collect, per function, the set of local/param names that are used with
     // indexing or pointer arithmetic anywhere in the program.
     let mut inferred = 0;
-    let functions: Vec<Function> = program.functions.clone();
 
-    for f in &functions {
-        if f.body.is_none() {
+    for f in &mut program.functions {
+        let Some(body) = &f.body else {
             continue;
-        }
+        };
         let arithmetic_ptrs = pointers_used_with_arithmetic(f);
-        let target = program.function_mut(&f.name).expect("function exists");
-        for p in &mut target.params {
+        for p in &mut f.params {
             inferred += apply_default(&mut p.ty, arithmetic_ptrs.contains(&p.name));
         }
-        if let Some(body) = &mut target.body {
-            let new_body = visit::map_block(body, &mut |s| match s {
-                Stmt::Local(mut decl, init) => {
-                    inferred += apply_default(&mut decl.ty, arithmetic_ptrs.contains(&decl.name));
-                    vec![Stmt::Local(decl, init)]
-                }
-                other => vec![other],
-            });
-            target.body = Some(new_body);
-        }
+        let new_body = visit::map_block(body, &mut |s| match s {
+            Stmt::Local(mut decl, init) => {
+                inferred += apply_default(&mut decl.ty, arithmetic_ptrs.contains(&decl.name));
+                vec![Stmt::Local(decl, init)]
+            }
+            other => vec![other],
+        });
+        f.body = Some(new_body);
     }
 
     // Globals and fields: default to `auto` for arrays-of-unknown use, else
@@ -278,6 +279,40 @@ mod tests {
     }
 
     #[test]
+    fn globals_are_in_scope_for_parameters_and_locals() {
+        let src = r#"
+            global n_devices: u32 = 4;
+            fn f(buf: u8 * count(n_devices), m: u32) -> u8 {
+                let p: u8 * count(n_devices) = buf;
+                let q: u8 * count(missing) = buf;
+                return p[0];
+            }
+            fn g(b: u8 * count(nowhere)) -> u8 { return b[0]; }
+        "#;
+        let p = parse_program(src).unwrap();
+        let mut r = ConversionReport::default();
+        validate_annotations(&p, &mut r);
+        let errors: Vec<(&str, &str)> = r
+            .diagnostics
+            .iter()
+            .map(|d| (d.function.as_str(), d.message.as_str()))
+            .collect();
+        assert_eq!(
+            errors,
+            [
+                (
+                    "f",
+                    "annotation on local `q` mentions `missing`, which is not in scope"
+                ),
+                (
+                    "g",
+                    "annotation on parameter `b` mentions `nowhere`, which is not in scope"
+                ),
+            ]
+        );
+    }
+
+    #[test]
     fn bad_when_tag_rejected() {
         let src = r#"
             struct pkt { kind: u32; echo: u32 when(typ == 8); }
@@ -322,6 +357,36 @@ mod tests {
             .clone();
         assert!(ann.trusted);
         assert_eq!(ann.bounds, Bounds::Unknown);
+    }
+
+    #[test]
+    fn defaults_go_to_the_definition_not_an_earlier_prototype() {
+        let src = r#"
+            extern fn walks(p: u32 *, n: u32) -> u32;
+            fn walks(p: u32 *, n: u32) -> u32 {
+                let q: u32 * = p;
+                return p[n];
+            }
+        "#;
+        let mut p = parse_program(src).unwrap();
+        let mut r = ConversionReport::default();
+        assert_eq!(infer_defaults(&mut p, &mut r), 2);
+        let [proto, def] = &p.functions[..] else {
+            panic!("expected a prototype and a definition");
+        };
+        assert!(proto.body.is_none());
+        assert_eq!(
+            proto.params[0].ty.ptr_annot().unwrap().bounds,
+            Bounds::Unknown
+        );
+        assert_eq!(def.params[0].ty.ptr_annot().unwrap().bounds, Bounds::Auto);
+        let mut local = None;
+        visit::walk_fn_stmts(def, &mut |s| {
+            if let Stmt::Local(decl, _) = s {
+                local = decl.ty.ptr_annot().map(|a| a.bounds.clone());
+            }
+        });
+        assert_eq!(local, Some(Bounds::Single));
     }
 
     #[test]

@@ -276,8 +276,12 @@ pub fn check_subsumption(
             });
         }
     }
+    let no_targets = BTreeSet::new();
     for ((caller, text), targets) in &observed_sites {
-        let stat = model.pts.indirect_call_targets(caller, text);
+        let stat = model
+            .pts
+            .indirect_targets_for(caller, text)
+            .unwrap_or(&no_targets);
         precision.indirect.add(
             targets.iter().filter(|t| stat.contains(**t)).count(),
             stat.len(),
@@ -422,9 +426,13 @@ fn describe_static_indirect(
     caller: &str,
     text: &str,
 ) -> String {
-    let targets = model.pts.indirect_call_targets(caller, text);
+    let empty = BTreeSet::new();
+    let targets = model
+        .pts
+        .indirect_targets_for(caller, text)
+        .unwrap_or(&empty);
     let listed = targets.iter().cloned().collect::<Vec<_>>().join(", ");
-    let Some(first) = targets.iter().next() else {
+    let Some(first) = targets.first() else {
         return format!(
             "static side resolves no target for `{text}` in `{caller}` — the \
              address-of seed that would make the callee point at the observed \

@@ -227,3 +227,40 @@ fn chrome_trace_export_round_trips_through_serde_json() {
         Some(1)
     );
 }
+
+/// The checkers' points-to queries read the interned solution: a cold
+/// analyze of the paper kernel plus one edit and re-analyze never builds
+/// the whole-program `Loc`-keyed map, and a deliberate full-map read is
+/// counted, so the zero is not a counter that never fires.
+#[test]
+fn cold_analyze_and_edit_never_materialize_the_pointsto_map() {
+    let _g = telemetry_guard();
+    let _restore = Restore;
+    telemetry::disable_all();
+    telemetry::reset();
+    telemetry::enable_counters();
+    const MATERIALIZE: &str = "ivy_pointsto_materialize_total";
+
+    let build = KernelBuild::generate(&KernelConfig::paper());
+    let engine = default_engine(1);
+    engine.analyze(&build.program);
+    let (ctx, _) = engine.context_for(&build.program);
+    let mut edited = build.program.clone();
+    let body = edited
+        .function_mut("watchdog_tick")
+        .and_then(|f| f.body.as_mut())
+        .expect("paper kernel defines watchdog_tick");
+    let first = body.stmts.first().cloned().expect("non-empty body");
+    body.stmts.insert(0, first);
+    engine.apply_edit(&ctx, &edited);
+    let report = engine.analyze(&edited);
+    assert!(report.stats.cache_misses > 0, "the edit re-ran some checks");
+    assert_eq!(telemetry::counter_value(MATERIALIZE, None), 0);
+
+    let pts = ivy::analysis::pointsto::analyze(
+        &build.program,
+        ivy::analysis::pointsto::Sensitivity::Steensgaard,
+    );
+    assert!(!pts.pts().is_empty());
+    assert_eq!(telemetry::counter_value(MATERIALIZE, None), 1);
+}
