@@ -29,32 +29,25 @@
 //!   indirect-call resolution (discovering a function-pointer target adds
 //!   its binding edges inside the worklist). The fixpoint terminates by
 //!   construction; there is no iteration cap anywhere.
-//! * `parallel` — the **parallel wavefront** solver: the copy graph is
-//!   condensed into SCCs, nodes are partitioned once into ownership
-//!   shards of whole SCCs contiguous in topological order, and the solve
-//!   runs in supersteps (shards drain local worklists in parallel, a
-//!   serial merge barrier routes cross-shard deltas and installs
-//!   dynamically discovered edges). The inclusion fixpoint is unique, so
-//!   the result is byte-identical to `solve` at any thread count.
 //! * `unify` — **union-find Steensgaard**: path-compressed, union-by-rank
 //!   unification, the native representation for equality constraints
 //!   (the worklist encodes them as mirrored subset edges).
-//! * `delta` — **DRed-style delta re-solve**: after an edit, retracted
-//!   batches' facts are over-approximately deleted, survivors re-derived,
-//!   and the new batches' facts inserted by difference propagation —
-//!   instead of re-propagating the whole cached graph.
+//!
+//! Dispatch is one rule: [`SolverChoice::Auto`] means union-find for
+//! Steensgaard without provenance, and the serial worklist otherwise
+//! (union-find records no derivations, and it is only an encoding of
+//! equality constraints).
 //!
 //! Entry points share those layers:
 //!
 //! * [`analyze`] / [`analyze_with`] — one-shot solve; [`SolveOptions`]
-//!   picks the solver ([`SolverChoice`], `IVY_THREADS`) or lets dispatch
-//!   choose (union-find for Steensgaard, wavefront at >1 thread).
+//!   picks the solver ([`SolverChoice`]) or leaves it to dispatch.
 //! * [`analyze_incremental`] / [`analyze_incremental_with`] — solve
 //!   against a [`ConstraintCache`]: per-function constraint batches are
 //!   keyed by `mix(content_hash, env_hash)` and reused across programs,
 //!   so re-analyzing an edited program regenerates constraints only for
-//!   the dirty functions; small edits are delta-repaired, large ones
-//!   re-propagated ([`SolveMode`] reports which path ran).
+//!   the dirty functions and re-propagates the cached graph
+//!   ([`SolveMode`] reports whether any batch was reused).
 //! * [`analyze_naive`] — the retained naive reference solver, kept for
 //!   differential testing (Klinger et al.-style) and the ablation bench.
 //!
@@ -63,10 +56,8 @@
 //! that down on generated programs across every sensitivity and solver.
 
 mod constraints;
-mod delta;
 mod intern;
 mod naive;
-mod parallel;
 mod solve;
 mod unify;
 
@@ -109,62 +100,40 @@ impl Sensitivity {
 /// Which solver implementation a solve should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum SolverChoice {
-    /// Pick automatically: union-find for Steensgaard, delta repair when a
-    /// cached fixpoint covers the edit, the parallel wavefront when more
-    /// than one thread is configured, the serial worklist otherwise.
+    /// Pick automatically: union-find for Steensgaard without provenance,
+    /// the serial worklist otherwise.
     #[default]
     Auto,
     /// The serial difference-propagating worklist.
     Worklist,
-    /// Union-find unification (Steensgaard only; other sensitivities fall
-    /// back to the worklist).
+    /// Union-find unification (Steensgaard only; other sensitivities and
+    /// provenance solves fall back to the worklist).
     UnionFind,
-    /// The parallel wavefront solver.
-    Parallel,
 }
 
-/// How a solve should run. [`SolveOptions::from_env`] reads `IVY_THREADS`
-/// and `IVY_PROVENANCE` so deployments opt into parallel solving and
-/// derivation tracing without an API change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a solve should run. [`SolveOptions::from_env`] reads
+/// `IVY_PROVENANCE` so deployments opt into derivation tracing without an
+/// API change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveOptions {
     /// Solver implementation to use.
     pub solver: SolverChoice,
-    /// Worker threads for the parallel wavefront solver (1 = serial).
-    pub threads: usize,
     /// Record a derivation step for every points-to fact (see
-    /// [`PointsToResult::why`]). Only the worklist family records
-    /// provenance, so dispatch never picks union-find or delta repair
-    /// while this is set — sound, because every solver path produces
-    /// byte-identical output.
+    /// [`PointsToResult::why`]). Only the worklist records provenance, so
+    /// dispatch never picks union-find while this is set — sound, because
+    /// both solvers produce byte-identical output.
     pub provenance: bool,
 }
 
-impl Default for SolveOptions {
-    fn default() -> SolveOptions {
-        SolveOptions {
-            solver: SolverChoice::Auto,
-            threads: 1,
-            provenance: false,
-        }
-    }
-}
-
 impl SolveOptions {
-    /// Options driven by the environment: `IVY_THREADS` sets the thread
-    /// count (default 1), `IVY_PROVENANCE` (`1`/`true`/`on`) turns on
-    /// derivation tracing, solver choice stays automatic.
+    /// Options driven by the environment: `IVY_PROVENANCE`
+    /// (`1`/`true`/`on`) turns on derivation tracing, solver choice stays
+    /// automatic.
     pub fn from_env() -> SolveOptions {
-        let threads = std::env::var("IVY_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1);
         let provenance =
             std::env::var("IVY_PROVENANCE").is_ok_and(|v| matches!(v.trim(), "1" | "true" | "on"));
         SolveOptions {
             solver: SolverChoice::Auto,
-            threads,
             provenance,
         }
     }
@@ -176,8 +145,8 @@ impl SolveOptions {
     }
 }
 
-/// How a points-to result was actually computed (the solve-mode
-/// discriminator surfaced through engine stats and the daemon).
+/// How a points-to result was computed (the solve-mode discriminator
+/// surfaced through engine stats and the daemon).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum SolveMode {
     /// Solved from scratch: every constraint batch was generated fresh.
@@ -186,9 +155,6 @@ pub enum SolveMode {
     /// Re-propagated the full cached constraint graph (batches reused,
     /// but the fixpoint was recomputed from empty sets).
     Repropagate,
-    /// DRed-style repair of a previous fixpoint: delete the
-    /// over-approximate deletion set, re-derive survivors, insert.
-    DeltaRepair,
 }
 
 impl SolveMode {
@@ -197,24 +163,8 @@ impl SolveMode {
         match self {
             SolveMode::Cold => "cold",
             SolveMode::Repropagate => "incremental-repropagate",
-            SolveMode::DeltaRepair => "delta-repair",
         }
     }
-}
-
-/// A logged fixpoint: everything the delta re-solver needs to repair the
-/// previous solution instead of re-propagating from scratch. The sets are
-/// shared (`Arc`) with the [`PointsToResult`] that produced them — capture
-/// is O(plan length), not a copy of the solution.
-#[derive(Debug)]
-struct FixpointState {
-    /// The solve plan that produced this fixpoint, as `(batch key, batch)`.
-    plan: Vec<(u64, Arc<InternedBatch>)>,
-    /// Non-empty points-to sets at the fixpoint.
-    sets: Arc<Vec<(u32, Vec<u32>)>>,
-    /// Dynamic copy edges `(src, dst, trigger)` the solve spawned while
-    /// processing loads, stores, and indirect-call bindings.
-    dyn_edges: Vec<solve::DynEdge>,
 }
 
 /// An abstract memory location.
@@ -388,16 +338,8 @@ pub struct PointsToResult {
     pub batches_reused: usize,
     /// Per-function constraint batches generated fresh in this run.
     pub batches_generated: usize,
-    /// How this result was computed (cold / re-propagate / delta repair).
+    /// How this result was computed (cold / re-propagate).
     pub mode: SolveMode,
-    /// Worker threads the solve actually used.
-    pub threads_used: usize,
-    /// Facts discarded by the delta re-solver's deletion phase (0 unless
-    /// `mode` is [`SolveMode::DeltaRepair`]).
-    pub delta_deleted: u64,
-    /// Delta locations re-propagated while repairing (0 unless `mode` is
-    /// [`SolveMode::DeltaRepair`]).
-    pub delta_rederived: u64,
     /// Derivation arena recorded during the solve (`None` unless the solve
     /// ran with [`SolveOptions::provenance`]).
     provenance: Option<Arc<ProvStore>>,
@@ -433,9 +375,6 @@ impl PointsToResult {
             batches_reused,
             batches_generated,
             mode: SolveMode::Cold,
-            threads_used: 1,
-            delta_deleted: 0,
-            delta_rederived: 0,
             provenance,
         }
     }
@@ -459,9 +398,6 @@ impl PointsToResult {
             batches_reused: 0,
             batches_generated: 0,
             mode: SolveMode::Cold,
-            threads_used: 1,
-            delta_deleted: 0,
-            delta_rederived: 0,
             provenance: None,
         }
     }
@@ -609,69 +545,37 @@ impl PointsToResult {
     }
 }
 
-/// Resolves [`SolverChoice::Auto`] for a from-scratch fixpoint (the delta
-/// branch is decided by the incremental path before calling this).
+/// The solver a solve actually runs: union-find for Steensgaard without
+/// provenance when the choice allows it ([`SolverChoice::Auto`] or
+/// [`SolverChoice::UnionFind`]), the serial worklist otherwise. Never
+/// returns `Auto`.
 fn resolve_choice(sensitivity: Sensitivity, opts: SolveOptions) -> SolverChoice {
-    let resolved = match opts.solver {
-        SolverChoice::Auto => {
-            if sensitivity == Sensitivity::Steensgaard && !opts.provenance {
-                SolverChoice::UnionFind
-            } else if opts.threads > 1 {
-                SolverChoice::Parallel
-            } else {
-                SolverChoice::Worklist
-            }
+    match opts.solver {
+        SolverChoice::Auto | SolverChoice::UnionFind
+            if sensitivity == Sensitivity::Steensgaard && !opts.provenance =>
+        {
+            SolverChoice::UnionFind
         }
-        c => c,
-    };
-    // Union-find unification records no derivation steps; a provenance
-    // solve routes to the worklist instead (byte-identical output).
-    if opts.provenance && resolved == SolverChoice::UnionFind {
-        SolverChoice::Worklist
-    } else {
-        resolved
+        _ => SolverChoice::Worklist,
     }
 }
 
-/// Runs the chosen from-scratch solver. Returns the output plus the thread
-/// count actually used. `log` asks the solver to record its dynamic edges
-/// so the fixpoint can later be repaired incrementally (the union-find
-/// solver cannot log — its fixpoints are never delta-repaired).
+/// Runs the solver [`resolve_choice`] picks over the interned plan.
 fn run_solver(
     sensitivity: Sensitivity,
     batches: &[Arc<InternedBatch>],
     bind: &solve::BindTable,
     opts: SolveOptions,
-    log: bool,
-) -> (solve::SolveOutput, usize) {
+) -> solve::SolveOutput {
     match resolve_choice(sensitivity, opts) {
-        SolverChoice::Auto => unreachable!("resolved above"),
-        SolverChoice::Worklist => (
-            solve::solve_worklist(sensitivity, batches, bind, log, opts.provenance),
-            1,
-        ),
-        SolverChoice::UnionFind if sensitivity == Sensitivity::Steensgaard => {
-            (unify::solve_unify(sensitivity, batches, bind), 1)
-        }
-        // Unification is only an equality-based (Steensgaard) encoding;
-        // asking for it at a subset-based sensitivity means the worklist.
-        SolverChoice::UnionFind => (
-            solve::solve_worklist(sensitivity, batches, bind, log, opts.provenance),
-            1,
-        ),
-        SolverChoice::Parallel => {
-            let threads = opts.threads.max(1);
-            (
-                parallel::solve_parallel(sensitivity, batches, bind, threads, log, opts.provenance),
-                threads,
-            )
-        }
+        SolverChoice::UnionFind => unify::solve_unify(sensitivity, batches, bind),
+        _ => solve::solve_worklist(sensitivity, batches, bind, opts.provenance),
     }
 }
 
 /// Runs the points-to analysis over a whole program (one-shot: constraints
-/// are generated, interned into a fresh interner, and solved) with the
-/// solver and thread count taken from the environment ([`SolveOptions::from_env`]).
+/// are generated, interned into a fresh interner, and solved) with options
+/// taken from the environment ([`SolveOptions::from_env`]).
 pub fn analyze(program: &Program, sensitivity: Sensitivity) -> PointsToResult {
     analyze_with(program, sensitivity, SolveOptions::from_env())
 }
@@ -693,10 +597,9 @@ pub fn analyze_with(
         let bind = solve::BindTable::build(program, &batches, &mut guard);
         (batches, bind)
     };
-    let (out, threads_used) = run_solver(sensitivity, &batches, &bind, opts, false);
+    let out = run_solver(sensitivity, &batches, &bind, opts);
     let generated = batches.len();
-    let mut r = PointsToResult::from_solution(interner, out, sensitivity, 0, generated);
-    r.threads_used = threads_used;
+    let r = PointsToResult::from_solution(interner, out, sensitivity, 0, generated);
     ivy_telemetry::counter_labeled("ivy_pointsto_solves_total", "mode", r.mode.name(), 1);
     r
 }
@@ -910,15 +813,10 @@ const BATCH_CACHE_CAP: usize = 16384;
 pub struct ConstraintCache {
     interner: Arc<SharedInterner>,
     batches: Mutex<HashMap<u64, Arc<InternedBatch>>>,
-    /// Last logged fixpoint per sensitivity, for delta repair. A stale
-    /// state is never wrong — it carries its own plan, and the repair is
-    /// a plan diff — only potentially far from the new program.
-    states: Mutex<HashMap<u64, Arc<FixpointState>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     solves_cold: AtomicU64,
     solves_repropagate: AtomicU64,
-    solves_delta: AtomicU64,
 }
 
 impl ConstraintCache {
@@ -957,16 +855,17 @@ impl ConstraintCache {
         self.solves_repropagate.load(Ordering::Relaxed)
     }
 
-    /// Solves that delta-repaired a previous fixpoint.
+    /// Always 0: every incremental solve re-propagates, so no solve
+    /// repairs a previous fixpoint. Kept for the repository benchmark,
+    /// whose per-layer `pointsto.solves_delta` count reads it.
     pub fn solves_delta(&self) -> u64 {
-        self.solves_delta.load(Ordering::Relaxed)
+        0
     }
 
     fn count_mode(&self, mode: SolveMode) {
         let c = match mode {
             SolveMode::Cold => &self.solves_cold,
             SolveMode::Repropagate => &self.solves_repropagate,
-            SolveMode::DeltaRepair => &self.solves_delta,
         };
         c.fetch_add(1, Ordering::Relaxed);
     }
@@ -984,10 +883,7 @@ pub fn analyze_incremental(
     analyze_incremental_with(program, sensitivity, cache, SolveOptions::from_env())
 }
 
-/// [`analyze_incremental`] with explicit solver options. When the cache
-/// holds a logged fixpoint for this sensitivity and the edit retracts at
-/// most half of the previous plan, the solve runs as a DRed-style delta
-/// repair instead of re-propagating the whole graph.
+/// [`analyze_incremental`] with explicit solver options.
 pub fn analyze_incremental_with(
     program: &Program,
     sensitivity: Sensitivity,
@@ -1001,7 +897,7 @@ pub fn analyze_incremental_with(
     // solves sharing one cache (e.g. corpus variants) stay parallel.
     let intern_span = ivy_telemetry::span("pointsto/intern", sensitivity.name());
     let mut interner = cache.interner.lock();
-    let mut plan: Vec<(u64, Arc<InternedBatch>)> = Vec::with_capacity(program.functions.len() + 1);
+    let mut batches: Vec<Arc<InternedBatch>> = Vec::with_capacity(program.functions.len() + 1);
     let mut reused = 0usize;
     let mut generated = 0usize;
     {
@@ -1022,24 +918,17 @@ pub fn analyze_incremental_with(
             map.insert(key, Arc::clone(&batch));
             batch
         };
-        plan.push((
+        batches.push(fetch(
             globals_key,
-            fetch(
-                globals_key,
-                &|| gen_globals(program, sensitivity),
-                &mut interner,
-            ),
+            &|| gen_globals(program, sensitivity),
+            &mut interner,
         ));
         for f in program.functions.iter().filter(|f| f.body.is_some()) {
-            let content = function_content_hash(f);
-            let key = mix(mix(content, env), sens_tag);
-            plan.push((
+            let key = mix(mix(function_content_hash(f), env), sens_tag);
+            batches.push(fetch(
                 key,
-                fetch(
-                    key,
-                    &|| gen_function_batch(program, sensitivity, f),
-                    &mut interner,
-                ),
+                &|| gen_function_batch(program, sensitivity, f),
+                &mut interner,
             ));
         }
     }
@@ -1047,55 +936,16 @@ pub fn analyze_incremental_with(
     cache.misses.fetch_add(generated as u64, Ordering::Relaxed);
     ivy_telemetry::counter("ivy_pointsto_batch_cache_hits_total", reused as u64);
     ivy_telemetry::counter("ivy_pointsto_batch_cache_misses_total", generated as u64);
-    let batches: Vec<Arc<InternedBatch>> = plan.iter().map(|(_, b)| Arc::clone(b)).collect();
     let bind = solve::BindTable::build(program, &batches, &mut interner);
     drop(interner);
     drop(intern_span);
 
-    // Delta repair applies only under automatic dispatch (an explicit
-    // solver choice is a request for that exact algorithm), only off the
-    // worklist family (union-find fixpoints are never logged), never under
-    // provenance (a repaired fixpoint restores retained facts wholesale,
-    // so it has no derivations for them — a scratch solve records a
-    // complete trace instead), and only when the edit is small enough
-    // that repair plausibly beats re-propagation.
-    let prior: Option<Arc<FixpointState>> = cache
-        .states
-        .lock()
-        .expect("state map poisoned")
-        .get(&sens_tag)
-        .cloned();
-    let use_delta = opts.solver == SolverChoice::Auto
-        && !opts.provenance
-        && sensitivity != Sensitivity::Steensgaard
-        && prior
-            .as_ref()
-            .is_some_and(|st| delta::retracted_batches(&st.plan, &plan) * 2 <= st.plan.len());
-
-    let (mut out, threads_used, mode, deleted, rederived) = if use_delta {
-        let st = prior.expect("checked above");
-        let d = delta::solve_delta(sensitivity, &plan, &bind, &st, true);
-        (
-            d.out,
-            1,
-            SolveMode::DeltaRepair,
-            d.deleted as u64,
-            d.rederived,
-        )
+    let out = run_solver(sensitivity, &batches, &bind, opts);
+    let mode = if reused == 0 {
+        SolveMode::Cold
     } else {
-        let (out, threads) = run_solver(sensitivity, &batches, &bind, opts, true);
-        let mode = if reused == 0 {
-            SolveMode::Cold
-        } else {
-            SolveMode::Repropagate
-        };
-        (out, threads, mode, 0, 0)
+        SolveMode::Repropagate
     };
-
-    // Capture the fixpoint for the next edit's delta repair. Only the
-    // worklist family logs dynamic edges; the union-find solver returns
-    // `None` and its fixpoints are simply not capturable.
-    let dyn_edges = out.dyn_edges.take();
     let mut r = PointsToResult::from_solution(
         Arc::clone(&cache.interner),
         out,
@@ -1103,21 +953,7 @@ pub fn analyze_incremental_with(
         reused,
         generated,
     );
-    if let Some(dyn_edges) = dyn_edges {
-        let sets = Arc::clone(&r.solution.as_ref().expect("interned solution").sets);
-        cache.states.lock().expect("state map poisoned").insert(
-            sens_tag,
-            Arc::new(FixpointState {
-                plan,
-                sets,
-                dyn_edges,
-            }),
-        );
-    }
     r.mode = mode;
-    r.threads_used = threads_used;
-    r.delta_deleted = deleted;
-    r.delta_rederived = rederived;
     cache.count_mode(mode);
     ivy_telemetry::counter_labeled("ivy_pointsto_solves_total", "mode", mode.name(), 1);
     r
@@ -1482,8 +1318,7 @@ mod tests {
             parse_program(&OPS_TABLE.replace("fn do_read(n: u32)", "fn do_read()")).unwrap();
         let incr = analyze_incremental(&edited, Sensitivity::Andersen, &cache);
         assert_eq!(incr.batches_reused, 0, "env change dirties everything");
-        // A full invalidation also retracts every cached batch, so the
-        // delta repairer must refuse and the solve runs cold.
+        // A full invalidation reuses no batch, so the solve counts as cold.
         assert_eq!(incr.mode, SolveMode::Cold);
     }
 
@@ -1498,17 +1333,12 @@ mod tests {
             Sensitivity::AndersenField,
         ] {
             let slow = analyze_naive(&p, s);
-            for (solver, threads) in [
-                (SolverChoice::Worklist, 1),
-                (SolverChoice::UnionFind, 1),
-                (SolverChoice::Parallel, 4),
-            ] {
+            for solver in [SolverChoice::Worklist, SolverChoice::UnionFind] {
                 let r = analyze_with(
                     &p,
                     s,
                     SolveOptions {
                         solver,
-                        threads,
                         ..SolveOptions::default()
                     },
                 );
@@ -1532,29 +1362,55 @@ mod tests {
         }
     }
 
+    /// The one dispatch rule: union-find only for Steensgaard without
+    /// provenance, and only when the choice allows it; everything else
+    /// runs the serial worklist.
     #[test]
-    fn auto_dispatch_picks_thread_count_and_solver() {
-        let p = parse_program(OPS_TABLE).unwrap();
-        let r = analyze_with(
-            &p,
-            Sensitivity::Andersen,
-            SolveOptions {
-                solver: SolverChoice::Auto,
-                threads: 4,
-                ..SolveOptions::default()
-            },
-        );
-        assert_eq!(r.threads_used, 4, "auto with threads>1 goes parallel");
-        let serial = analyze_with(&p, Sensitivity::Andersen, SolveOptions::default());
-        assert_eq!(serial.threads_used, 1);
-        assert_eq!(r.pts(), serial.pts());
+    fn resolve_choice_table() {
+        use Sensitivity::{Andersen, AndersenField, Steensgaard};
+        use SolverChoice::{Auto, UnionFind, Worklist};
+        #[rustfmt::skip]
+        let table = [
+            // (sensitivity, choice, provenance, resolved)
+            (Steensgaard,   Auto,      false, UnionFind),
+            (Steensgaard,   Auto,      true,  Worklist),
+            (Steensgaard,   Worklist,  false, Worklist),
+            (Steensgaard,   Worklist,  true,  Worklist),
+            (Steensgaard,   UnionFind, false, UnionFind),
+            (Steensgaard,   UnionFind, true,  Worklist),
+            (Andersen,      Auto,      false, Worklist),
+            (Andersen,      Auto,      true,  Worklist),
+            (Andersen,      Worklist,  false, Worklist),
+            (Andersen,      Worklist,  true,  Worklist),
+            (Andersen,      UnionFind, false, Worklist),
+            (Andersen,      UnionFind, true,  Worklist),
+            (AndersenField, Auto,      false, Worklist),
+            (AndersenField, Auto,      true,  Worklist),
+            (AndersenField, Worklist,  false, Worklist),
+            (AndersenField, Worklist,  true,  Worklist),
+            (AndersenField, UnionFind, false, Worklist),
+            (AndersenField, UnionFind, true,  Worklist),
+        ];
+        for (s, solver, provenance, want) in table {
+            let opts = SolveOptions { solver, provenance };
+            assert_eq!(
+                resolve_choice(s, opts),
+                want,
+                "{} {solver:?} provenance={provenance}",
+                s.name()
+            );
+        }
     }
 
-    /// A body-only edit repairs the cached fixpoint (DRed delete +
-    /// re-derive) and still matches a from-scratch solve byte for byte —
-    /// in both directions, since repair is a plan diff, not a replay.
+    /// A body-only edit through the cache re-propagates and matches a
+    /// from-scratch solve byte for byte, in both directions: removing a
+    /// derivation and adding it back.
     #[test]
-    fn delta_repair_after_edit_matches_scratch() {
+    fn incremental_edit_and_revert_match_scratch() {
+        let worklist = SolveOptions {
+            solver: SolverChoice::Worklist,
+            ..SolveOptions::default()
+        };
         for s in [Sensitivity::Andersen, Sensitivity::AndersenField] {
             let p = parse_program(OPS_TABLE).unwrap();
             let cache = ConstraintCache::new();
@@ -1564,70 +1420,64 @@ mod tests {
             // Deleting a derivation: the direct vfs_read call disappears.
             let edited_src = OPS_TABLE.replace("return vfs_read(&ext2_ops, n);", "return 0;");
             let edited = parse_program(&edited_src).unwrap();
-            let repaired = analyze_incremental_with(&edited, s, &cache, SolveOptions::default());
-            assert_eq!(repaired.mode, SolveMode::DeltaRepair, "{}", s.name());
-            assert_eq!(repaired.batches_generated, 1);
-            let scratch = analyze_with(
-                &edited,
-                s,
-                SolveOptions {
-                    solver: SolverChoice::Worklist,
-                    threads: 1,
-                    ..SolveOptions::default()
-                },
-            );
-            assert_eq!(repaired.pts(), scratch.pts(), "{} delete-edit", s.name());
-            assert_eq!(repaired.indirect_targets, scratch.indirect_targets);
-            assert_eq!(repaired.initial_constraints, scratch.initial_constraints);
-            assert_eq!(repaired.constraint_count, scratch.constraint_count);
+            let incr = analyze_incremental_with(&edited, s, &cache, SolveOptions::default());
+            assert_eq!(incr.mode, SolveMode::Repropagate, "{}", s.name());
+            assert_eq!(incr.batches_generated, 1);
+            let scratch = analyze_with(&edited, s, worklist);
+            assert_eq!(incr.pts(), scratch.pts(), "{} delete-edit", s.name());
+            assert_eq!(incr.indirect_targets, scratch.indirect_targets);
+            assert_eq!(incr.initial_constraints, scratch.initial_constraints);
+            assert_eq!(incr.constraint_count, scratch.constraint_count);
 
-            // Re-adding it: the repair must re-derive the lost facts from
-            // the edited fixpoint.
+            // Re-adding it: the lost facts come back.
             let back = analyze_incremental_with(&p, s, &cache, SolveOptions::default());
-            assert_eq!(back.mode, SolveMode::DeltaRepair);
+            assert_eq!(back.batches_generated, 0, "the original body is cached");
             assert_eq!(back.pts(), cold.pts(), "{} re-add edit", s.name());
             assert_eq!(back.indirect_targets, cold.indirect_targets);
             assert_eq!(back.constraint_count, cold.constraint_count);
-            assert_eq!(cache.solves_delta(), 2);
+            assert_eq!(cache.solves_repropagate(), 2);
             assert_eq!(cache.solves_cold(), 1);
+            assert_eq!(cache.solves_delta(), 0);
         }
     }
 
-    /// An edit that rewires a function-pointer table: the repair has to
-    /// retract previously-derived indirect-call bindings and their
-    /// downstream flows, not just local sets.
+    /// An edit that rewires a function-pointer table: the incremental
+    /// solve must drop the indirect-call binding the removed store fed,
+    /// not carry it over from the previous program.
     #[test]
-    fn delta_repair_retracts_indirect_call_bindings() {
+    fn incremental_edit_retracts_indirect_call_bindings() {
         let p = parse_program(OPS_TABLE).unwrap();
         let cache = ConstraintCache::new();
-        analyze_incremental_with(
+        let cold = analyze_incremental_with(
             &p,
             Sensitivity::AndersenField,
             &cache,
             SolveOptions::default(),
         );
+        let before = cold
+            .indirect_targets_for("vfs_read", "ops->read")
+            .expect("indirect call site");
+        assert!(before.contains("pipe_read"));
         let edited_src = OPS_TABLE.replace("pipe_ops.read = pipe_read;", "");
         let edited = parse_program(&edited_src).unwrap();
-        let repaired = analyze_incremental_with(
+        let incr = analyze_incremental_with(
             &edited,
             Sensitivity::AndersenField,
             &cache,
             SolveOptions::default(),
         );
-        assert_eq!(repaired.mode, SolveMode::DeltaRepair);
-        assert!(repaired.delta_deleted > 0, "the edit must delete facts");
+        assert_eq!(incr.batches_generated, 1, "only register_ops is dirty");
         let scratch = analyze_with(
             &edited,
             Sensitivity::AndersenField,
             SolveOptions {
                 solver: SolverChoice::Worklist,
-                threads: 1,
                 ..SolveOptions::default()
             },
         );
-        assert_eq!(repaired.pts(), scratch.pts());
-        assert_eq!(repaired.indirect_targets, scratch.indirect_targets);
-        let targets = repaired
+        assert_eq!(incr.pts(), scratch.pts());
+        assert_eq!(incr.indirect_targets, scratch.indirect_targets);
+        let targets = incr
             .indirect_targets_for("vfs_read", "ops->read")
             .expect("indirect call site");
         assert!(!targets.contains("pipe_read"), "stale target must die");
@@ -1643,38 +1493,32 @@ mod tests {
             Sensitivity::Andersen,
             Sensitivity::AndersenField,
         ] {
-            for threads in [1usize, 4] {
-                let opts = SolveOptions {
-                    threads,
-                    ..SolveOptions::default()
-                };
-                let plain = analyze_with(&p, s, opts);
-                let traced = analyze_with(&p, s, opts.with_provenance(true));
-                assert_eq!(traced.pts(), plain.pts(), "{} t={threads}", s.name());
-                assert_eq!(traced.indirect_targets, plain.indirect_targets);
-                assert_eq!(traced.constraint_count, plain.constraint_count);
-                assert!(!plain.has_provenance());
-                assert!(traced.has_provenance());
-                assert_eq!(plain.provenance_facts(), 0);
-                assert!(traced.provenance_facts() > 0);
-                assert!(traced.provenance_bytes() > 0);
+            let plain = analyze_with(&p, s, SolveOptions::default());
+            let traced = analyze_with(&p, s, SolveOptions::default().with_provenance(true));
+            assert_eq!(traced.pts(), plain.pts(), "{}", s.name());
+            assert_eq!(traced.indirect_targets, plain.indirect_targets);
+            assert_eq!(traced.constraint_count, plain.constraint_count);
+            assert!(!plain.has_provenance());
+            assert!(traced.has_provenance());
+            assert_eq!(plain.provenance_facts(), 0);
+            assert!(traced.provenance_facts() > 0);
+            assert!(traced.provenance_bytes() > 0);
 
-                let n = verify_derivations(&p, &traced)
-                    .unwrap_or_else(|e| panic!("{} t={threads}: replay failed: {e}", s.name()));
-                assert_eq!(n, traced.provenance_facts());
+            let n = verify_derivations(&p, &traced)
+                .unwrap_or_else(|e| panic!("{}: replay failed: {e}", s.name()));
+            assert_eq!(n, traced.provenance_facts());
 
-                // Every fact in the solution explains itself, seed-first.
-                for (loc, set) in traced.pts() {
-                    for tgt in set {
-                        let chain = traced
-                            .why(loc, tgt)
-                            .unwrap_or_else(|| panic!("{}: no chain for {loc} ∋ {tgt}", s.name()));
-                        assert!(!chain.is_empty());
-                        assert_eq!(chain[0].rule, "addr-of", "chains start at a seed");
-                        assert!(chain[0].src.is_none());
-                        let last = chain.last().unwrap();
-                        assert_eq!((&last.dst, &last.pointee), (loc, tgt));
-                    }
+            // Every fact in the solution explains itself, seed-first.
+            for (loc, set) in traced.pts() {
+                for tgt in set {
+                    let chain = traced
+                        .why(loc, tgt)
+                        .unwrap_or_else(|| panic!("{}: no chain for {loc} ∋ {tgt}", s.name()));
+                    assert!(!chain.is_empty());
+                    assert_eq!(chain[0].rule, "addr-of", "chains start at a seed");
+                    assert!(chain[0].src.is_none());
+                    let last = chain.last().unwrap();
+                    assert_eq!((&last.dst, &last.pointee), (loc, tgt));
                 }
             }
         }
@@ -1712,9 +1556,9 @@ mod tests {
             .is_none());
     }
 
-    /// Provenance through the incremental path disables delta repair (a
-    /// repaired fixpoint has no derivations for retained facts) but still
-    /// matches, replays, and keeps working after an edit.
+    /// Provenance through the incremental path re-propagates the whole
+    /// graph, so the trace is complete: it matches, replays, and keeps
+    /// working after an edit.
     #[test]
     fn incremental_provenance_forces_scratch_solve_and_replays() {
         let p = parse_program(OPS_TABLE).unwrap();
@@ -1727,11 +1571,6 @@ mod tests {
         let edited_src = OPS_TABLE.replace("return vfs_read(&ext2_ops, n);", "return 0;");
         let edited = parse_program(&edited_src).unwrap();
         let warm = analyze_incremental_with(&edited, Sensitivity::AndersenField, &cache, opts);
-        assert_ne!(
-            warm.mode,
-            SolveMode::DeltaRepair,
-            "provenance must force a full re-propagation"
-        );
         assert!(warm.has_provenance());
         verify_derivations(&edited, &warm).expect("post-edit incremental replay");
         let scratch = analyze_with(&edited, Sensitivity::AndersenField, opts);

@@ -16,7 +16,7 @@
 
 use ivy_analysis::pointsto::{
     analyze, analyze_incremental, analyze_incremental_with, analyze_naive, analyze_with,
-    verify_derivations, ConstraintCache, Loc, PointsToResult, Sensitivity, SolveMode, SolveOptions,
+    verify_derivations, ConstraintCache, Loc, PointsToResult, Sensitivity, SolveOptions,
     SolverChoice,
 };
 use ivy_cmir::ast::Program;
@@ -123,21 +123,20 @@ proptest! {
         }
     }
 
-    /// The new solver family — parallel wavefront, union-find Steensgaard,
-    /// and DRed delta repair — against the same naive reference, on the
-    /// same generated-program distribution. Delta repair is exercised with
-    /// genuine cross-program diffs: each case repairs the previous case's
-    /// fixpoint in the shared cache, so retraction sets range from empty
-    /// to "most of the plan" (where the dispatcher must fall back).
+    /// Union-find Steensgaard and automatic dispatch against a long-lived
+    /// cache, checked against the same naive reference on the same
+    /// generated-program distribution. Each case re-solves in a cache that
+    /// still holds the previous cases' batches, so the incremental solve
+    /// mixes reused and fresh batches from unrelated programs.
     #[test]
-    fn parallel_unionfind_and_delta_match_naive_on_generated_programs(
+    fn unionfind_and_shared_cache_match_naive_on_generated_programs(
         seed in any::<u64>(),
         base_idx in 0usize..2,
         drop_pct in 0u64..40,
         strip_pct in 0u64..35,
     ) {
-        static DELTA_CACHES: OnceLock<[ConstraintCache; 3]> = OnceLock::new();
-        let caches = DELTA_CACHES.get_or_init(|| {
+        static LONG_LIVED_CACHES: OnceLock<[ConstraintCache; 3]> = OnceLock::new();
+        let caches = LONG_LIVED_CACHES.get_or_init(|| {
             [
                 ConstraintCache::new(),
                 ConstraintCache::new(),
@@ -156,23 +155,9 @@ proptest! {
         {
             let slow = analyze_naive(&program, s);
 
-            let par = analyze_with(&program, s, SolveOptions {
-                solver: SolverChoice::Parallel,
-                threads: 4,
-                ..SolveOptions::default()
-            });
-            prop_assert_eq!(par.pts(), slow.pts(), "parallel pts diverge at {}", s.name());
-            prop_assert_eq!(
-                &par.indirect_targets, &slow.indirect_targets,
-                "parallel indirect targets diverge at {}", s.name()
-            );
-            prop_assert_eq!(par.initial_constraints, slow.initial_constraints);
-            prop_assert_eq!(par.constraint_count, slow.constraint_count);
-
             if s == Sensitivity::Steensgaard {
                 let uf = analyze_with(&program, s, SolveOptions {
                     solver: SolverChoice::UnionFind,
-                    threads: 1,
                     ..SolveOptions::default()
                 });
                 point_queries_match(&uf, &slow, "union-find")?;
@@ -184,34 +169,26 @@ proptest! {
                 prop_assert_eq!(uf.constraint_count, slow.constraint_count);
             }
 
-            // Auto dispatch against a long-lived cache: after the first
-            // case this is a delta repair whenever the plan diff is small
-            // enough, a re-propagation otherwise — both must be identical
-            // to the reference.
-            let incr = analyze_incremental_with(&program, s, &caches[i], SolveOptions {
-                solver: SolverChoice::Auto,
-                threads: if seed.is_multiple_of(2) { 4 } else { 1 },
-                ..SolveOptions::default()
-            });
-            if incr.mode == SolveMode::DeltaRepair {
-                prop_assert_eq!(incr.constraint_count, slow.constraint_count);
-            }
+            // Auto dispatch against the long-lived cache: after the first
+            // case this re-propagates a plan of reused and fresh batches,
+            // and must be identical to the reference.
+            let incr = analyze_incremental_with(&program, s, &caches[i], SolveOptions::default());
+            prop_assert_eq!(incr.constraint_count, slow.constraint_count);
             point_queries_match(&incr, &slow, incr.mode.name())?;
-            prop_assert_eq!(incr.pts(), slow.pts(), "delta pts diverge at {}", s.name());
+            prop_assert_eq!(incr.pts(), slow.pts(), "shared-cache pts diverge at {}", s.name());
             prop_assert_eq!(
                 &incr.indirect_targets, &slow.indirect_targets,
-                "delta indirect targets diverge at {}", s.name()
+                "shared-cache indirect targets diverge at {}", s.name()
             );
         }
     }
 
-    /// Provenance recording changes nothing: at every sensitivity, both the
-    /// serial worklist and the parallel wavefront produce byte-identical
-    /// answers with tracing on, and every recorded derivation replays —
-    /// each step's conclusion follows from its premises by a real rule
-    /// (AddrOf seed, static copy, or a justified dynamic edge), premises
-    /// strictly precede conclusions in the arena, and the recorded facts
-    /// are exactly the final sets.
+    /// Provenance recording changes nothing: at every sensitivity the
+    /// traced solve produces byte-identical answers, and every recorded
+    /// derivation replays — each step's conclusion follows from its
+    /// premises by a real rule (AddrOf seed, static copy, or a justified
+    /// dynamic edge), premises strictly precede conclusions in the arena,
+    /// and the recorded facts are exactly the final sets.
     #[test]
     fn provenance_solves_are_identical_and_replay_on_generated_programs(
         seed in any::<u64>(),
@@ -227,30 +204,24 @@ proptest! {
             Sensitivity::AndersenField,
         ] {
             let plain = analyze_with(&program, s, SolveOptions::default());
-            for threads in [1usize, 4] {
-                let traced = analyze_with(&program, s, SolveOptions {
-                    solver: SolverChoice::Auto,
-                    threads,
-                    provenance: true,
-                });
-                prop_assert_eq!(
-                    traced.pts(), plain.pts(),
-                    "provenance pts diverge at {} t={}", s.name(), threads
-                );
-                prop_assert_eq!(
-                    &traced.indirect_targets, &plain.indirect_targets,
-                    "provenance indirect targets diverge at {} t={}", s.name(), threads
-                );
-                prop_assert_eq!(traced.initial_constraints, plain.initial_constraints);
-                prop_assert_eq!(traced.constraint_count, plain.constraint_count);
-                let replayed = verify_derivations(&program, &traced);
-                prop_assert!(
-                    replayed.is_ok(),
-                    "replay failed at {} t={}: {}", s.name(), threads,
-                    replayed.unwrap_err()
-                );
-                prop_assert_eq!(replayed.unwrap(), traced.provenance_facts());
-            }
+            let traced = analyze_with(&program, s, SolveOptions::default().with_provenance(true));
+            prop_assert_eq!(
+                traced.pts(), plain.pts(),
+                "provenance pts diverge at {}", s.name()
+            );
+            prop_assert_eq!(
+                &traced.indirect_targets, &plain.indirect_targets,
+                "provenance indirect targets diverge at {}", s.name()
+            );
+            prop_assert_eq!(traced.initial_constraints, plain.initial_constraints);
+            prop_assert_eq!(traced.constraint_count, plain.constraint_count);
+            let replayed = verify_derivations(&program, &traced);
+            prop_assert!(
+                replayed.is_ok(),
+                "replay failed at {}: {}", s.name(),
+                replayed.unwrap_err()
+            );
+            prop_assert_eq!(replayed.unwrap(), traced.provenance_facts());
         }
     }
 }

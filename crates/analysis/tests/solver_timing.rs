@@ -1,11 +1,7 @@
-//! Ad-hoc solver timing harness for comparing the worklist, union-find,
-//! and parallel-wavefront solvers phase by phase (intern vs seed vs
-//! propagate, via telemetry spans). Ignored by default — not a correctness
-//! test; run with
+//! Ad-hoc solver timing harness for comparing the worklist and union-find
+//! solvers phase by phase (intern vs seed vs propagate, via telemetry
+//! spans). Ignored by default — not a correctness test; run with
 //! `cargo test -p ivy-analysis --release --test solver_timing -- --ignored --nocapture`.
-//! Note that wall-clock thread scaling only shows up when the machine has
-//! real cores to spare (`nproc` > 1); on a single-CPU container the
-//! parallel solver's supersteps time-slice onto one core.
 
 use ivy_analysis::pointsto::{analyze_with, Sensitivity, SolveOptions, SolverChoice};
 use ivy_kernelgen::{KernelBuild, KernelConfig};
@@ -27,7 +23,6 @@ fn steensgaard_solver_phase_timing() {
                 Sensitivity::Steensgaard,
                 SolveOptions {
                     solver,
-                    threads: 1,
                     provenance: false,
                 },
             );
@@ -46,58 +41,5 @@ fn steensgaard_solver_phase_timing() {
             .map(|s| s.dur_us)
             .collect();
         eprintln!("{cat}: {times:?} us");
-    }
-}
-
-#[test]
-#[ignore]
-fn parallel_solver_phase_timing() {
-    let mut config = KernelConfig::paper();
-    config.drivers = 256;
-    config.fp_groups = 128;
-    config.cache_defects = 256;
-    config.ring_defects = 256;
-    let build = KernelBuild::generate(&config);
-    eprintln!("functions: {}", build.program.functions.len());
-    for round in 0..3 {
-        for (label, solver, threads) in [
-            ("worklist ", SolverChoice::Worklist, 1),
-            ("parallel1", SolverChoice::Parallel, 1),
-            ("parallel4", SolverChoice::Parallel, 4),
-        ] {
-            ivy_telemetry::reset();
-            ivy_telemetry::enable_all();
-            let start = Instant::now();
-            let r = analyze_with(
-                &build.program,
-                Sensitivity::AndersenField,
-                SolveOptions {
-                    solver,
-                    threads,
-                    provenance: false,
-                },
-            );
-            let total = start.elapsed();
-            let spans = ivy_telemetry::spans_snapshot();
-            let sum_cat = |cat: &str| -> u64 {
-                spans
-                    .iter()
-                    .filter(|s| s.cat == cat)
-                    .map(|s| s.dur_us)
-                    .sum()
-            };
-            let solve = sum_cat("pointsto/seed") + sum_cat("pointsto/propagate");
-            let setup = sum_cat("pointsto/wavesetup");
-            let cv = |name: &'static str| ivy_telemetry::counter_value(name, None);
-            ivy_telemetry::disable_all();
-            eprintln!(
-                "round {round} {label}: total {total:?} solve {solve}us setup {setup}us \
-                 pops {} supersteps {} shardpops {} merges {}",
-                r.iterations,
-                cv("ivy_pointsto_parallel_waves_total"),
-                cv("ivy_pointsto_parallel_shard_pops_total"),
-                cv("ivy_pointsto_parallel_merges_total"),
-            );
-        }
     }
 }

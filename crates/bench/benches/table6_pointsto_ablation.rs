@@ -2,20 +2,17 @@
 //! field-sensitive Andersen), the paper's "field- and context-sensitive
 //! analysis would improve the results" remark quantified — plus the
 //! solver-scaling comparison for the solver substrate: naive reference vs
-//! interned worklist solver, cold solve vs incremental re-solve vs DRed
-//! delta repair after a one-function edit, plus solver-phase gates for the
-//! union-find Steensgaard representation (vs the mirrored-subset worklist)
-//! and the parallel wavefront (4 threads vs 1 thread; asserted only when
-//! the host actually has >=4 cores — on fewer cores the supersteps
-//! time-slice onto one CPU and wall-clock scaling is physically
-//! impossible), and a provenance column pricing the derivation-recording
-//! arena against the plain worklist cold solve. Emits a machine-readable
-//! `JSON-SUMMARY` line (the `BENCH_pointsto.json` trajectory).
+//! interned worklist solver, cold solve vs incremental re-propagation after
+//! a one-function edit, a solver-phase gate for the union-find Steensgaard
+//! representation (vs the mirrored-subset worklist), and a provenance
+//! column pricing the derivation-recording arena against the plain
+//! worklist cold solve. Emits a machine-readable `JSON-SUMMARY` line (the
+//! `BENCH_pointsto.json` trajectory).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ivy_analysis::pointsto::{
     analyze_incremental, analyze_incremental_with, analyze_naive, analyze_with, ConstraintCache,
-    Sensitivity, SolveMode, SolveOptions, SolverChoice,
+    Sensitivity, SolveOptions, SolverChoice,
 };
 use ivy_cmir::ast::Program;
 use ivy_core::experiments::{pointsto_ablation, Scale};
@@ -128,13 +125,14 @@ fn bench_ablation(c: &mut Criterion) {
     );
     cfg.insert("available_parallelism".into(), Value::from(cpus));
     summary.config(Value::Object(cfg));
-    // (kernel, variant, worklist, unify, parallel1, parallel4) solver-phase
-    // seconds for the E6c table.
-    type SolverRow = (String, String, f64, Option<f64>, Option<f64>, Option<f64>);
-    let mut solver_rows: Vec<SolverRow> = Vec::new();
-    println!("==== E6b: solver scaling (naive vs worklist vs unify/parallel, cold vs incremental vs delta vs provenance) ====");
+    // (kernel, variant, worklist, unify) solver-phase seconds for the E6c
+    // table.
+    let mut solver_rows: Vec<(String, String, f64, Option<f64>)> = Vec::new();
     println!(
-        "{:<8} {:<16} {:>12} {:>12} {:>9} {:>12} {:>9} {:>12} {:>12} {:>8}",
+        "==== E6b: solver scaling (naive vs worklist, cold vs incremental vs provenance) ===="
+    );
+    println!(
+        "{:<8} {:<16} {:>12} {:>12} {:>9} {:>12} {:>9} {:>12} {:>8}",
         "kernel",
         "variant",
         "naive (s)",
@@ -142,7 +140,6 @@ fn bench_ablation(c: &mut Criterion) {
         "speedup",
         "incr (s)",
         "vs cold",
-        "delta (s)",
         "prov (s)",
         "prov-x",
     );
@@ -152,7 +149,6 @@ fn bench_ablation(c: &mut Criterion) {
         for s in SENSITIVITIES {
             let worklist = SolveOptions {
                 solver: SolverChoice::Worklist,
-                threads: 1,
                 provenance: false,
             };
             let naive_cold = time_runs(
@@ -161,8 +157,8 @@ fn bench_ablation(c: &mut Criterion) {
                 },
                 *naive_samples,
             );
-            // Pinned to the serial worklist so the baseline column stays
-            // the same solver regardless of IVY_THREADS or dispatch.
+            // Pinned to the worklist so the baseline column stays the same
+            // solver regardless of dispatch.
             let worklist_cold = time_runs(
                 || {
                     analyze_with(&build.program, s, worklist);
@@ -182,8 +178,7 @@ fn bench_ablation(c: &mut Criterion) {
             // Incremental re-propagation: prime a fresh cache with the
             // base program, then measure the first re-solve of the
             // one-function edit (so every sample sees exactly one dirty
-            // batch, never a fully-warm replay). Pinned to the worklist —
-            // this is the pre-delta incremental path.
+            // batch, never a fully-warm replay). Pinned to the worklist.
             let incremental = median_secs(
                 (0..5)
                     .map(|_| {
@@ -195,32 +190,11 @@ fn bench_ablation(c: &mut Criterion) {
                     })
                     .collect(),
             );
-            // Delta repair of the same edit under automatic dispatch.
-            let delta = median_secs(
-                (0..5)
-                    .map(|_| {
-                        let cache = ConstraintCache::new();
-                        analyze_incremental(&build.program, s, &cache);
-                        let start = Instant::now();
-                        let r = analyze_incremental(&edited, s, &cache);
-                        let secs = start.elapsed().as_secs_f64();
-                        if s != Sensitivity::Steensgaard {
-                            assert_eq!(
-                                r.mode,
-                                SolveMode::DeltaRepair,
-                                "a one-function edit must delta-repair"
-                            );
-                        }
-                        secs
-                    })
-                    .collect(),
-            );
             // Solver-phase timings (seed + propagate spans only) — the
             // phases a solver implementation can actually change. The
             // worklist baseline is measured for every row; the union-find
-            // representation exists only for Steensgaard, and the parallel
-            // wavefront only for the inclusion-based sensitivities.
-            let solver_with = |choice: SolverChoice, threads: usize| {
+            // representation exists only for Steensgaard.
+            let solver_with = |choice: SolverChoice| {
                 solver_secs(
                     || {
                         analyze_with(
@@ -228,7 +202,6 @@ fn bench_ablation(c: &mut Criterion) {
                             s,
                             SolveOptions {
                                 solver: choice,
-                                threads,
                                 provenance: false,
                             },
                         );
@@ -236,24 +209,18 @@ fn bench_ablation(c: &mut Criterion) {
                     5,
                 )
             };
-            let worklist_solver = solver_with(SolverChoice::Worklist, 1);
+            let worklist_solver = solver_with(SolverChoice::Worklist);
             let unify_solver =
-                (s == Sensitivity::Steensgaard).then(|| solver_with(SolverChoice::UnionFind, 1));
-            let parallel1_solver =
-                (s != Sensitivity::Steensgaard).then(|| solver_with(SolverChoice::Parallel, 1));
-            let parallel4_solver =
-                (s != Sensitivity::Steensgaard).then(|| solver_with(SolverChoice::Parallel, 4));
+                (s == Sensitivity::Steensgaard).then(|| solver_with(SolverChoice::UnionFind));
             solver_rows.push((
                 (*name).to_string(),
                 s.name().to_string(),
                 worklist_solver,
                 unify_solver,
-                parallel1_solver,
-                parallel4_solver,
             ));
             let reference = analyze_with(&build.program, s, worklist);
             println!(
-                "{:<8} {:<16} {:>12.4} {:>12.4} {:>8.1}x {:>12.5} {:>8.1}x {:>12.5} {:>12.4} {:>7.2}x",
+                "{:<8} {:<16} {:>12.4} {:>12.4} {:>8.1}x {:>12.5} {:>8.1}x {:>12.4} {:>7.2}x",
                 name,
                 s.name(),
                 naive_cold,
@@ -261,7 +228,6 @@ fn bench_ablation(c: &mut Criterion) {
                 naive_cold / worklist_cold.max(1e-9),
                 incremental,
                 worklist_cold / incremental.max(1e-9),
-                delta,
                 provenance_cold,
                 provenance_cold / worklist_cold.max(1e-9),
             );
@@ -295,7 +261,6 @@ fn bench_ablation(c: &mut Criterion) {
                 "incremental_speedup_vs_naive".into(),
                 Value::from(naive_cold / incremental.max(1e-9)),
             );
-            row.insert("delta_repair_seconds".into(), Value::from(delta));
             row.insert(
                 "provenance_cold_seconds".into(),
                 Value::from(provenance_cold),
@@ -303,10 +268,6 @@ fn bench_ablation(c: &mut Criterion) {
             row.insert(
                 "provenance_overhead".into(),
                 Value::from(provenance_cold / worklist_cold.max(1e-9)),
-            );
-            row.insert(
-                "delta_speedup_vs_incremental".into(),
-                Value::from(incremental / delta.max(1e-9)),
             );
             row.insert(
                 "worklist_solver_seconds".into(),
@@ -317,14 +278,6 @@ fn bench_ablation(c: &mut Criterion) {
                 row.insert(
                     "unify_solver_speedup".into(),
                     Value::from(worklist_solver / unify_solver.max(1e-9)),
-                );
-            }
-            if let (Some(p1), Some(p4)) = (parallel1_solver, parallel4_solver) {
-                row.insert("parallel1_solver_seconds".into(), Value::from(p1));
-                row.insert("parallel4_solver_seconds".into(), Value::from(p4));
-                row.insert(
-                    "parallel_solver_speedup_4t".into(),
-                    Value::from(p1 / p4.max(1e-9)),
                 );
             }
             summary.push_row(row);
@@ -354,71 +307,30 @@ fn bench_ablation(c: &mut Criterion) {
                     "large_field_incremental_speedup_vs_cold",
                     worklist_cold / incremental.max(1e-9),
                 );
-                let p1 = parallel1_solver.expect("measured for andersen+field");
-                let p4 = parallel4_solver.expect("measured for andersen+field");
-                let parallel_speedup = p1 / p4.max(1e-9);
-                summary.headline("large_field_parallel_speedup_4t", parallel_speedup);
-                // Wall-clock thread scaling requires actual cores: on a
-                // <4-core host the four workers time-slice onto the same
-                // CPUs and the ratio measures scheduling overhead, not the
-                // solver. Record the headline either way, gate the assert.
-                if cpus >= 4 {
-                    assert!(
-                        parallel_speedup >= 2.0,
-                        "the 4-thread wavefront must be >=2x its own 1-thread \
-                         run (solver phase) on the large kernel, got \
-                         {parallel_speedup:.2}x"
-                    );
-                } else {
-                    println!(
-                        "note: parallel >=2x gate skipped \
-                         (available_parallelism = {cpus} < 4); \
-                         measured {parallel_speedup:.2}x"
-                    );
-                }
-                let delta_speedup = incremental / delta.max(1e-9);
-                summary.headline("large_field_delta_speedup_vs_incremental", delta_speedup);
-                assert!(
-                    delta_speedup > 1.0,
-                    "delta repair must beat incremental re-propagation after a \
-                     one-function edit, got {delta_speedup:.2}x"
-                );
             }
         }
     }
+    println!("\n==== E6c: solver-phase timing (seed+propagate spans) ====");
     println!(
-        "\n==== E6c: solver-phase timing (seed+propagate spans; cores available: {cpus}) ===="
-    );
-    println!(
-        "{:<8} {:<16} {:>12} {:>11} {:>8} {:>11} {:>11} {:>10}",
-        "kernel",
-        "variant",
-        "worklist (s)",
-        "unify (s)",
-        "unify-x",
-        "par1 (s)",
-        "par4 (s)",
-        "4t-scaling"
+        "{:<8} {:<16} {:>12} {:>11} {:>8}",
+        "kernel", "variant", "worklist (s)", "unify (s)", "unify-x"
     );
     let fmt_opt = |v: Option<f64>, width: usize| match v {
         Some(v) => format!("{v:>width$.5}"),
         None => format!("{:>width$}", "-"),
     };
-    let fmt_ratio = |num: Option<f64>, den: Option<f64>, width: usize| match (num, den) {
-        (Some(n), Some(d)) => format!("{:>w$.1}x", n / d.max(1e-9), w = width - 1),
-        _ => format!("{:>width$}", "-"),
+    let fmt_ratio = |num: f64, den: Option<f64>, width: usize| match den {
+        Some(d) => format!("{:>w$.1}x", num / d.max(1e-9), w = width - 1),
+        None => format!("{:>width$}", "-"),
     };
-    for (kernel, variant, wl, unify, p1, p4) in &solver_rows {
+    for (kernel, variant, wl, unify) in &solver_rows {
         println!(
-            "{:<8} {:<16} {:>12.5} {} {} {} {} {}",
+            "{:<8} {:<16} {:>12.5} {} {}",
             kernel,
             variant,
             wl,
             fmt_opt(*unify, 11),
-            fmt_ratio(Some(*wl), *unify, 8),
-            fmt_opt(*p1, 11),
-            fmt_opt(*p4, 11),
-            fmt_ratio(*p1, *p4, 10),
+            fmt_ratio(*wl, *unify, 8),
         );
     }
     println!();
@@ -436,7 +348,6 @@ fn bench_ablation(c: &mut Criterion) {
                     s,
                     SolveOptions {
                         solver: SolverChoice::Worklist,
-                        threads: 1,
                         provenance: false,
                     },
                 )
@@ -450,7 +361,6 @@ fn bench_ablation(c: &mut Criterion) {
                 Sensitivity::AndersenField,
                 SolveOptions {
                     solver: SolverChoice::Worklist,
-                    threads: 1,
                     provenance: true,
                 },
             )
@@ -463,20 +373,6 @@ fn bench_ablation(c: &mut Criterion) {
                 Sensitivity::Steensgaard,
                 SolveOptions {
                     solver: SolverChoice::UnionFind,
-                    threads: 1,
-                    provenance: false,
-                },
-            )
-        })
-    });
-    group.bench_function("parallel4/andersen+field", |b| {
-        b.iter(|| {
-            analyze_with(
-                &build.program,
-                Sensitivity::AndersenField,
-                SolveOptions {
-                    solver: SolverChoice::Parallel,
-                    threads: 4,
                     provenance: false,
                 },
             )

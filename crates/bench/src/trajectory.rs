@@ -15,9 +15,10 @@
 //! `headline` holds only numbers (so the dashboard can render any bench
 //! without bench-specific code). Schema 2 added the host context every
 //! perf comparison needs: `available_parallelism` (the machine) and
-//! `ivy_threads` (the solver thread setting, from `IVY_THREADS`) — a
-//! trajectory mixing 2-core and 64-core records is otherwise
-//! uninterpretable. The validator accepts schema 1 (without the host
+//! `ivy_threads` (the points-to solver's thread count) — a trajectory
+//! mixing 2-core and 64-core records is otherwise uninterpretable. The
+//! solver is serial, so the writer always records `"ivy_threads": 1`;
+//! older records may carry larger values from when it was not. The validator accepts schema 1 (without the host
 //! fields) and schema 2; the writer only produces 2. [`validate_file`]
 //! enforces exactly that shape and is what CI runs on every push;
 //! [`render_report`] turns the history into the per-PR markdown dashboard
@@ -50,7 +51,8 @@ pub struct Record {
     /// Hardware threads the recording host had (schema ≥2; `None` on
     /// schema-1 history).
     pub available_parallelism: Option<u64>,
-    /// Effective `IVY_THREADS` setting at recording time (schema ≥2).
+    /// Points-to solver thread count at recording time (schema ≥2). The
+    /// solver is serial, so new records hold 1.
     pub ivy_threads: Option<u64>,
 }
 
@@ -118,7 +120,7 @@ pub fn append(bench: &str, config: Option<Value>, headline: Map) -> io::Result<P
                 .unwrap_or(1),
         ),
     );
-    record.insert("ivy_threads".into(), Value::from(ivy_threads()));
+    record.insert("ivy_threads".into(), Value::from(1u64));
     if let Some(config) = config {
         record.insert("config".into(), config);
     }
@@ -134,16 +136,6 @@ pub fn append(bench: &str, config: Option<Value>, headline: Map) -> io::Result<P
         .open(&path)?;
     writeln!(file, "{line}")?;
     Ok(path)
-}
-
-/// The effective `IVY_THREADS` setting: parsed from the environment the
-/// same way the solver's `SolveOptions::from_env` does (default 1).
-pub fn ivy_threads() -> u64 {
-    std::env::var("IVY_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
 }
 
 fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
@@ -380,7 +372,7 @@ mod tests {
         assert_eq!(records[0].bench, "table_test");
         // The writer stamps host context on every record it produces.
         assert!(records[0].available_parallelism.is_some());
-        assert!(records[0].ivy_threads >= Some(1));
+        assert_eq!(records[0].ivy_threads, Some(1), "the solver is serial");
         let report = render_report(&records);
         assert!(report.contains("## table_test"));
         assert!(report.contains("cold_seconds"));

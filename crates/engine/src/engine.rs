@@ -532,9 +532,6 @@ impl Engine {
             stats.pointsto_batches_reused = pts.batches_reused;
             stats.pointsto_batches_generated = pts.batches_generated;
             stats.pointsto_solve_mode = pts.mode.name().to_string();
-            stats.pointsto_threads = pts.threads_used as u64;
-            stats.pointsto_delta_deleted = pts.delta_deleted;
-            stats.pointsto_delta_rederived = pts.delta_rederived;
             stats.provenance_facts = pts.provenance_facts() as u64;
             stats.provenance_bytes = pts.provenance_bytes() as u64;
             ivy_telemetry::counter("ivy_provenance_facts_total", stats.provenance_facts);

@@ -170,33 +170,6 @@ impl ProvStore {
             + self.edges.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<EdgeProv>())
     }
 
-    /// Appends every step and edge of `other` (in `other`'s arena order)
-    /// into this store. Used by the parallel wavefront to drain per-shard
-    /// arenas into the master store at each merge barrier, preserving the
-    /// causal ordering invariant (premises recorded at an earlier barrier
-    /// land at lower indices).
-    pub fn absorb(&mut self, other: &ProvStore) {
-        for s in &other.steps {
-            self.record_fact(s.dst, s.pointee, s.src);
-        }
-        for (key, prov) in &other.edges {
-            self.edges.entry(*key).or_insert(*prov);
-        }
-    }
-
-    /// Drains this store's steps and edges (leaving it empty but with its
-    /// allocations intact) into `master`. The reusable-buffer counterpart
-    /// of [`ProvStore::absorb`] for the per-shard arenas.
-    pub fn drain_into(&mut self, master: &mut ProvStore) {
-        for s in self.steps.drain(..) {
-            master.record_fact(s.dst, s.pointee, s.src);
-        }
-        self.fact_index.clear();
-        for (key, prov) in self.edges.drain() {
-            master.edges.entry(key).or_insert(prov);
-        }
-    }
-
     /// Extracts the derivation chain for the fact `dst points-to pointee`,
     /// seed constraint first. `None` when no step was recorded for the
     /// fact. The walk is deterministic (each fact has exactly one step)
@@ -277,27 +250,5 @@ mod tests {
         // Edge justifications are first-wins too.
         p.record_edge(0, 1, 6, 6, EdgeKind::Store);
         assert_eq!(p.edge_prov(0, 1).unwrap().trigger, 5);
-    }
-
-    #[test]
-    fn absorb_and_drain_preserve_arena_order_and_dedupe() {
-        let mut master = ProvStore::new();
-        master.record_fact(0, 10, SEED);
-        let mut shard = ProvStore::new();
-        shard.record_fact(1, 10, 0);
-        shard.record_fact(0, 10, 99); // duplicate fact: master's wins
-        shard.record_edge(0, 1, 4, 10, EdgeKind::CallBind);
-        master.absorb(&shard);
-        assert_eq!(master.facts(), 2);
-        assert_eq!(master.step(0).unwrap().src, SEED);
-        assert!(master.index_of(0, 10).unwrap() < master.index_of(1, 10).unwrap());
-        assert_eq!(master.dyn_edges(), 1);
-
-        let mut master2 = ProvStore::new();
-        shard.drain_into(&mut master2);
-        assert_eq!(shard.facts(), 0);
-        assert_eq!(shard.dyn_edges(), 0);
-        assert_eq!(master2.facts(), 2);
-        assert!(master2.bytes() > 0);
     }
 }
